@@ -12,7 +12,6 @@ from .equilibrium import (
     DEFAULT_EPSILON,
     BestResponseResult,
     NashReport,
-    SearchConfig,
     best_response,
     enumerate_equilibria,
     epsilon_nash_check,
@@ -82,7 +81,6 @@ __all__ = [
     "Profile",
     "QGamesError",
     "QY",
-    "SearchConfig",
     "StateVector",
     "StrategyParams",
     "StrategySyntaxError",

@@ -16,14 +16,8 @@ import numpy as np
 
 from . import __version__
 from .angles import format_real, parse_angle
-from .equilibrium import (
-    DEFAULT_EPSILON,
-    SearchConfig,
-    enumerate_equilibria,
-    epsilon_nash_check,
-    payoff_sweep,
-)
-from .errors import QGamesError, StrategySyntaxError
+from .equilibrium import DEFAULT_EPSILON, enumerate_equilibria, epsilon_nash_check, payoff_sweep
+from .errors import GameFormatError, QGamesError, StrategySyntaxError
 from .gamespec import GameSpec, parse_game_spec, prisoners_dilemma_3, validate
 from .protocol import expected_payoffs
 from .qcore import outcome_bitstrings
@@ -82,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     with_strategies(p)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    defaults = SearchConfig()
-    p.add_argument("--theta-points", type=_positive_points, default=defaults.theta_points)
-    p.add_argument("--phi-points", type=_positive_points, default=defaults.phi_points)
-    p.add_argument("--refine-rounds", type=int, default=defaults.refine_rounds)
 
     p = sub.add_parser("enumerate", help="set-relative Nash equilibria over a finite set")
     common(p)
@@ -118,6 +108,18 @@ def _parse_gamma_option(text: str) -> float:
         raise _UsageError(str(exc)) from None
 
 
+def _read_game_file(path: str) -> GameSpec:
+    """Parse a UTF-8 game file; bytes that do not decode are a format error."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GameFormatError(
+                f"game file {path!r} is not UTF-8: {exc.reason} at byte {exc.start}"
+            ) from None
+    return parse_game_spec(text)
+
+
 def _load_game(args: argparse.Namespace, needs_gamma: bool) -> GameSpec:
     """Resolve --game/--gamma into a validated GameSpec."""
     if args.game.lower() == "pd3":
@@ -129,9 +131,7 @@ def _load_game(args: argparse.Namespace, needs_gamma: bool) -> GameSpec:
             gamma = 0.0
         return prisoners_dilemma_3(gamma)
 
-    with open(args.game, encoding="utf-8") as handle:
-        text = handle.read()
-    spec = parse_game_spec(text)
+    spec = _read_game_file(args.game)
     problems = validate(spec)
     if problems:
         raise QGamesError(f"invalid game file {args.game}: " + "; ".join(problems))
@@ -171,12 +171,7 @@ def _cmd_payoff(args: argparse.Namespace) -> int:
 def _cmd_nash_check(args: argparse.Namespace) -> int:
     game = _load_game(args, needs_gamma=True)
     profile = _parse_profile(args.strategies, game.n_players)
-    config = SearchConfig(
-        theta_points=args.theta_points,
-        phi_points=args.phi_points,
-        refine_rounds=args.refine_rounds,
-    )
-    report = epsilon_nash_check(game, profile, args.epsilon, config)
+    report = epsilon_nash_check(game, profile, args.epsilon)
     out = _writer()
     out.writerow(["player", "gap", "best_theta", "best_phi"])
     for player, result in enumerate(report.per_player):
@@ -236,11 +231,10 @@ def _cmd_classical_table(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.game.lower() == "pd3":
-        problems = validate(prisoners_dilemma_3(0.0))
+        spec = prisoners_dilemma_3(0.0)
     else:
-        with open(args.game, encoding="utf-8") as handle:
-            spec = parse_game_spec(handle.read())
-        problems = validate(spec)
+        spec = _read_game_file(args.game)
+    problems = validate(spec)
     out = _writer()
     out.writerow(["violation"])
     for problem in problems:

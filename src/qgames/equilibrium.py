@@ -1,9 +1,8 @@
-"""Best-response search over the strategy manifold, epsilon-Nash verification,
-equilibrium enumeration over finite strategy sets, Pareto checks, and
-entanglement sweeps.
+"""Exact best replies, epsilon-Nash verification, equilibrium enumeration
+over finite strategy sets, Pareto checks, and entanglement sweeps.
 
-All searches are deterministic: candidates are scanned theta-major /
-phi-minor with ascending values, and a tie keeps the earliest candidate.
+Every answer is deterministic: candidates are scored in a fixed order and a
+tie keeps the earliest candidate.
 """
 
 from __future__ import annotations
@@ -17,42 +16,41 @@ import numpy as np
 
 from .errors import DomainError
 from .gamespec import GameSpec, PayoffTable
-from .protocol import expected_payoffs
+from .protocol import expected_payoffs, final_state
 from .qcore import validate_gamma
-from .strategies import PHI_MAX, THETA_MAX, Profile, StrategyParams
+from .strategies import (
+    COOPERATE,
+    DEFECT,
+    PHI_MAX,
+    QY,
+    THETA_MAX,
+    Profile,
+    StrategyParams,
+    params_of_octant_point,
+)
 
 # Far above the simulator's 1e-9 numerical noise and far below the smallest
 # meaningful payoff gap of the built-in game (2).
 DEFAULT_EPSILON = 1e-6
 
 # The Pareto scan visits a full product grid of alternative profiles; axes
-# are thinned before scanning so the product never exceeds this many profiles.
+# start at 101 x 51 points per player and are thinned before scanning so the
+# product never exceeds this many profiles.
 PARETO_MAX_PROFILES = 100_000
+_PARETO_THETA_NODES = 101
+_PARETO_PHI_NODES = 51
 
 _WEAK_TOL = 1e-9  # slack when comparing payoff vectors in the Pareto check
 
+# unitary_of(theta, phi) = x0*U(C) + x1*U(QY) + x2*U(D) for the octant point
+# x = (cos theta/2, sin theta/2 cos phi, sin theta/2 sin phi).
+_CORNERS = (COOPERATE, QY, DEFECT)
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Resolution of the grid-plus-refinement best-response search.
+# Faces of the octant as index sets into x, in candidate order: the three
+# vertices, the three boundary arcs, then the interior.
+_FACES = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 
-    The coarse pass covers the whole strategy rectangle; each refinement
-    round re-grids a window shrunk by `refine_shrink` around the incumbent
-    best, clipped to the domain.
-    """
-
-    theta_points: int = 101
-    phi_points: int = 51
-    refine_rounds: int = 3
-    refine_shrink: float = 0.2
-
-    def __post_init__(self):
-        if self.theta_points < 2 or self.phi_points < 2:
-            raise DomainError("grids need at least 2 points per axis")
-        if self.refine_rounds < 0:
-            raise DomainError("refine_rounds must be nonnegative")
-        if not (0.0 < self.refine_shrink < 1.0):
-            raise DomainError("refine_shrink must lie strictly between 0 and 1")
+_OCTANT_TOL = 1e-12  # eigenvector components this far below 0 still count as on the octant
 
 
 @dataclass(frozen=True)
@@ -78,59 +76,54 @@ class NashReport:
     per_player: tuple[BestResponseResult, ...]
 
 
-def _axis_grid(lo: float, hi: float, points: int, cap: float) -> list[float]:
-    """Uniform grid clamped into [0, cap] so 1-ulp overshoot never leaves the domain."""
-    return [min(max(float(v), 0.0), cap) for v in np.linspace(lo, hi, points)]
-
-
 def best_response(
     game: GameSpec,
     profile: Sequence[StrategyParams],
     player: int,
-    config: SearchConfig = SearchConfig(),
 ) -> BestResponseResult:
-    """Search the (theta, phi) rectangle for the player's best reply.
+    """The player's exact best reply with everyone else held fixed.
 
-    Candidate order: the player's incumbent strategy, the four domain
-    corners, the coarse grid, then each refinement grid. A candidate
-    replaces the incumbent best only with a strictly larger payoff, so
-    ties keep the earliest candidate and results are reproducible.
+    The final state is linear in the player's octant point x (see _CORNERS),
+    so the payoff is the quadratic form x^T Q x over the closed positive
+    octant of the unit sphere, with Q built from three pipeline runs. A
+    maximiser restricted to its nonzero coordinates is an eigenvector of
+    that face's principal submatrix of Q, so the eigenvectors of the seven
+    faces that lie on the octant always include one.
+
+    Candidates are scored by the pipeline: the incumbent first, then each
+    face's eigenvectors in _FACES order. A candidate replaces the best only
+    with a strictly larger payoff, so ties keep the earliest candidate.
     """
     profile = tuple(profile)
     if not 0 <= player < game.n_players:
         raise IndexError(f"player index {player} out of range for {game.n_players} players")
 
+    def with_move(params: StrategyParams) -> Profile:
+        return profile[:player] + (params,) + profile[player + 1 :]
+
     def payoff_of(params: StrategyParams) -> float:
-        trial = profile[:player] + (params,) + profile[player + 1 :]
-        return float(expected_payoffs(game, trial)[player])
+        return float(expected_payoffs(game, with_move(params))[player])
 
     current = profile[player]
     current_payoff = payoff_of(current)
     best_params, best_payoff = current, current_payoff
 
-    def consider(params: StrategyParams) -> None:
-        nonlocal best_params, best_payoff
-        value = payoff_of(params)
-        if value > best_payoff:
-            best_params, best_payoff = params, value
+    psi = np.array([final_state(game, with_move(c)).amplitudes for c in _CORNERS])
+    q = ((psi.conj() * game.table.as_array[:, player]) @ psi.T).real
 
-    for theta in (0.0, THETA_MAX):
-        for phi in (0.0, PHI_MAX):
-            consider(StrategyParams(theta, phi))
-
-    theta_lo, theta_hi = 0.0, THETA_MAX
-    phi_lo, phi_hi = 0.0, PHI_MAX
-    for round_no in range(config.refine_rounds + 1):
-        if round_no:
-            theta_half = THETA_MAX * config.refine_shrink**round_no / 2.0
-            phi_half = PHI_MAX * config.refine_shrink**round_no / 2.0
-            theta_lo = max(0.0, best_params.theta - theta_half)
-            theta_hi = min(THETA_MAX, best_params.theta + theta_half)
-            phi_lo = max(0.0, best_params.phi - phi_half)
-            phi_hi = min(PHI_MAX, best_params.phi + phi_half)
-        for theta in _axis_grid(theta_lo, theta_hi, config.theta_points, THETA_MAX):
-            for phi in _axis_grid(phi_lo, phi_hi, config.phi_points, PHI_MAX):
-                consider(StrategyParams(theta, phi))
+    for face in _FACES:
+        _, vectors = np.linalg.eigh(q[np.ix_(face, face)])
+        for vector in vectors.T:
+            if vector.sum() < 0.0:
+                vector = -vector
+            if vector.min() < -_OCTANT_TOL:
+                continue
+            x = np.zeros(3)
+            x[list(face)] = vector
+            params = params_of_octant_point(x)
+            value = payoff_of(params)
+            if value > best_payoff:
+                best_params, best_payoff = params, value
 
     return BestResponseResult(best_params, best_payoff, best_payoff - current_payoff)
 
@@ -139,16 +132,13 @@ def epsilon_nash_check(
     game: GameSpec,
     profile: Sequence[StrategyParams],
     epsilon: float = DEFAULT_EPSILON,
-    config: SearchConfig = SearchConfig(),
 ) -> NashReport:
     """Run best_response for every player; the profile is an epsilon-Nash
     equilibrium when no player's gap exceeds epsilon."""
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise DomainError(f"epsilon must be nonnegative, got {epsilon!r}")
-    results = tuple(
-        best_response(game, profile, player, config) for player in range(game.n_players)
-    )
+    results = tuple(best_response(game, profile, player) for player in range(game.n_players))
     worst = max(result.gap for result in results)
     return NashReport(worst <= epsilon, epsilon, results)
 
@@ -193,11 +183,7 @@ def enumerate_equilibria(
     return equilibria
 
 
-def pareto_check(
-    game: GameSpec,
-    profile: Sequence[StrategyParams],
-    config: SearchConfig = SearchConfig(),
-) -> bool:
+def pareto_check(game: GameSpec, profile: Sequence[StrategyParams]) -> bool:
     """Grid-relative Pareto-optimality check; a sampling argument, not a proof.
 
     Scans the product of per-player (theta, phi) grids and returns False as
@@ -208,19 +194,19 @@ def pareto_check(
     """
     current = expected_payoffs(game, tuple(profile))
 
-    theta_points, phi_points = config.theta_points, config.phi_points
-    while (theta_points * phi_points) ** game.n_players > PARETO_MAX_PROFILES:
-        if theta_points >= phi_points and theta_points > 2:
-            theta_points = max(2, (theta_points + 1) // 2)
-        elif phi_points > 2:
-            phi_points = max(2, (phi_points + 1) // 2)
+    n_theta, n_phi = _PARETO_THETA_NODES, _PARETO_PHI_NODES
+    while (n_theta * n_phi) ** game.n_players > PARETO_MAX_PROFILES:
+        if n_theta >= n_phi and n_theta > 2:
+            n_theta = max(2, (n_theta + 1) // 2)
+        elif n_phi > 2:
+            n_phi = max(2, (n_phi + 1) // 2)
         else:
             break
 
     grid = [
         StrategyParams(theta, phi)
-        for theta in _axis_grid(0.0, THETA_MAX, theta_points, THETA_MAX)
-        for phi in _axis_grid(0.0, PHI_MAX, phi_points, PHI_MAX)
+        for theta in np.linspace(0.0, THETA_MAX, n_theta)
+        for phi in np.linspace(0.0, PHI_MAX, n_phi)
     ]
     for alternative in itertools.product(grid, repeat=game.n_players):
         payoffs = expected_payoffs(game, alternative)

@@ -86,7 +86,8 @@ def parse_game_spec(text: str) -> GameSpec:
     ``players = <int>``; ``gamma = <real | pi | pi/2 | pi/4>``;
     one ``payoff <bitstring> = <p_0> ... <p_{N-1}>`` line per outcome.
     Keys may appear in any order except that ``players`` must precede
-    every payoff line. Every one of the 2^N outcomes must appear exactly once.
+    every payoff line. ``players`` and ``gamma`` appear once each, and every
+    one of the 2^N outcomes must appear exactly once.
     """
     players: int | None = None
     gamma: float | None = None
@@ -101,6 +102,8 @@ def parse_game_spec(text: str) -> GameSpec:
             raise GameFormatError("expected '<key> = <value>'", line=lineno)
         key = key.strip()
         value = value.strip()
+        if (key == "players" and players is not None) or (key == "gamma" and gamma is not None):
+            raise GameFormatError(f"duplicate {key!r} line", line=lineno)
 
         if key == "players":
             try:

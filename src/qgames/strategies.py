@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,6 +83,19 @@ def unitary_of(params: StrategyParams) -> np.ndarray:
     )
     mat.setflags(write=False)
     return mat
+
+
+def params_of_octant_point(x: Sequence[float]) -> StrategyParams:
+    """Inverse of x = (cos t/2, sin t/2 cos p, sin t/2 sin p), for x on the
+    closed positive octant of the unit sphere.
+
+    With that x, unitary_of(t, p) = x0*U(C) + x1*U(QY) + x2*U(D). Components
+    at or below zero are read as 0, and phi is 0 at the theta = 0 pole.
+    """
+    x0, x1, x2 = (float(v) if v > 0.0 else 0.0 for v in x)
+    theta = 2.0 * math.atan2(math.hypot(x1, x2), x0)
+    phi = math.atan2(x2, x1) if x1 or x2 else 0.0
+    return StrategyParams(theta, phi)
 
 
 def classical_mix_prob(params: StrategyParams) -> float:

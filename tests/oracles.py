@@ -6,7 +6,9 @@ enumeration for expectations. Nothing calls into the package's own algebra,
 so agreement between the two is a real cross-check.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -49,10 +51,16 @@ def taylor_expm(matrix, terms=60):
     return result
 
 
+@functools.lru_cache(maxsize=256)
 def dense_entangler(n, gamma, dagger=False):
-    """exp(+-i gamma/2 X x ... x X) as a dense matrix via the series oracle."""
+    """exp(+-i gamma/2 X x ... x X) as a dense matrix via the series oracle.
+
+    Cached per (n, gamma, dagger); the returned matrix is read-only.
+    """
     sign = -1.0 if dagger else 1.0
-    return taylor_expm(sign * 1j * (gamma / 2.0) * kron_chain([SIGMA_X] * n))
+    matrix = taylor_expm(sign * 1j * (gamma / 2.0) * kron_chain([SIGMA_X] * n))
+    matrix.setflags(write=False)
+    return matrix
 
 
 def dense_strategy(theta, phi):
@@ -122,3 +130,31 @@ def set_relative_equilibria(table_rows, gamma, candidate_angles, epsilon):
         if stable:
             found.append(choice)
     return found
+
+
+def grid_best_reply(table_rows, gamma, angle_pairs, player):
+    """Best reply by grid search plus refinement on the dense pipeline.
+
+    A 25 x 13 grid over theta in [0, pi], phi in [0, pi/2]; each of three
+    refinement rounds re-grids 9 x 9 points over a window a quarter the previous size,
+    centred on the incumbent best and clipped to the domain. Returns the best
+    (theta, phi) found and its payoff; grid-relative, so only a lower bound
+    on the true maximum.
+    """
+    angle_pairs = list(angle_pairs)
+
+    def payoff(point):
+        trial = angle_pairs[:player] + [point] + angle_pairs[player + 1 :]
+        return float(dense_payoffs(table_rows, gamma, trial)[player])
+
+    best = max(
+        ((t, f) for t in np.linspace(0, math.pi, 25) for f in np.linspace(0, math.pi / 2, 13)),
+        key=payoff,
+    )
+    half = (math.pi / 2, math.pi / 4)
+    for _ in range(3):
+        half = (half[0] / 4, half[1] / 4)
+        thetas = np.linspace(max(best[0] - half[0], 0), min(best[0] + half[0], math.pi), 9)
+        phis = np.linspace(max(best[1] - half[1], 0), min(best[1] + half[1], math.pi / 2), 9)
+        best = max([best] + [(t, f) for t in thetas for f in phis], key=payoff)
+    return best, payoff(best)

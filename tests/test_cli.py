@@ -1,8 +1,13 @@
 """Command-line interface: CSV output, exit codes, game-file handling."""
 
-import math
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgames.cli import main
 
@@ -114,12 +119,10 @@ class TestSweep:
 
 
 class TestNashCheck:
-    ARGS = ("--theta-points", "21", "--phi-points", "11")
-
     def test_all_defect_fails_with_gap_two(self, capsys):
         code, out, err = run(
             capsys, "nash-check", "--game", "pd3", "--gamma", "pi/2",
-            "--strategies", "D", "D", "D", *self.ARGS,
+            "--strategies", "D", "D", "D",
         )
         assert code == 0
         assert "nash=false" in err
@@ -133,7 +136,7 @@ class TestNashCheck:
     def test_all_qy_passes(self, capsys):
         code, out, err = run(
             capsys, "nash-check", "--game", "pd3", "--gamma", "pi/2",
-            "--strategies", "QY", "QY", "QY", *self.ARGS,
+            "--strategies", "QY", "QY", "QY",
         )
         assert code == 0
         assert "nash=true" in err
@@ -142,7 +145,7 @@ class TestNashCheck:
     def test_epsilon_flag_changes_the_verdict(self, capsys):
         code, out, err = run(
             capsys, "nash-check", "--game", "pd3", "--gamma", "pi/2",
-            "--strategies", "D", "D", "D", "--epsilon", "2.5", *self.ARGS,
+            "--strategies", "D", "D", "D", "--epsilon", "2.5",
         )
         assert code == 0
         assert "nash=true" in err
@@ -210,6 +213,20 @@ class TestGameFiles:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["payoff", "--strategies", "C", "D", "QY"]],
+        ids=["validate", "payoff"],
+    )
+    def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(("# r\u00e9sum\u00e9\n" + GOOD_GAME).encode("latin-1"))
+        code, out, err = run(capsys, command[0], "--game", str(path), *command[1:])
+        assert code == 1
+        assert out == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "UTF-8" in err
+
     def test_incomplete_file_refused_before_running(self, capsys, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text(GOOD_GAME.replace("payoff 111 = 1 1 1\n", ""))
@@ -253,3 +270,75 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# Game-file lines to recombine: the good file's own lines plus broken ones.
+_LINES = GOOD_GAME.splitlines() + [
+    "players = 2", "players = x", "gamma = 0", "gamma = nan", "gamma = 9",
+    "payoff 11 = 1 2", "payoff 000 = 1 inf 2", "payoff 000", "= 1", "# r\u00e9sum\u00e9", "",
+]
+_LATIN1_GAME = ("# r\u00e9sum\u00e9\n" + GOOD_GAME).encode("latin-1")
+
+game_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda lines, encoding: "\n".join(lines).encode(encoding),
+        st.lists(st.sampled_from(_LINES), max_size=14),
+        st.sampled_from(["utf-8", "latin-1"]),
+    ),
+)
+tokens = st.lists(
+    st.one_of(
+        st.sampled_from(["C", "D", "QY", "U(pi,0)", "U(5,0)", "U(nan,1)", "u(1, .5)", "-x"]),
+        st.text(max_size=12),
+    ),
+    max_size=4,
+)
+
+
+def invoke(argv):
+    """Run main(argv) with captured streams; argparse usage errors arrive as SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code, from_argparse = main(argv), False
+        except SystemExit as exc:
+            code, from_argparse = exc.code, True
+    return code, from_argparse, out.getvalue(), err.getvalue()
+
+
+class TestContract:
+    """Any bytes as a game file and any strategy tokens: exit 0, 1 or 2, and a
+    failure is one error line on stderr, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=game_bytes,
+        command=st.sampled_from(["validate", "payoff"]),
+        toks=tokens,
+        gamma=st.one_of(st.none(), st.sampled_from(["pi/2", "0", "2", "nan", "x"])),
+    )
+    @example(content=_LATIN1_GAME, command="validate", toks=[], gamma=None)
+    @example(content=_LATIN1_GAME, command="payoff", toks=["C", "D", "QY"], gamma=None)
+    def test_any_input_keeps_the_exit_contract(self, content, command, toks, gamma):
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "game.txt")
+            with open(path, "wb") as handle:
+                handle.write(content)
+            argv = [command, "--game", path]
+            if gamma is not None:
+                argv += ["--gamma", gamma]
+            if command == "payoff":
+                argv += ["--strategies", *toks]
+            code, from_argparse, out, err = invoke(argv)
+
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if from_argparse:
+            assert code == 2
+            assert sum("error:" in line for line in err.splitlines()) == 1
+        elif code:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            assert err == "" and out

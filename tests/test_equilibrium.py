@@ -1,4 +1,4 @@
-"""Best-response search, Nash verification/enumeration, Pareto, gamma sweeps."""
+"""Exact best replies, Nash verification/enumeration, Pareto, gamma sweeps."""
 
 import itertools
 import math
@@ -13,7 +13,8 @@ from qgames import (
     DEFECT,
     QY,
     DomainError,
-    SearchConfig,
+    GameSpec,
+    PayoffTable,
     StrategyParams,
     best_response,
     enumerate_equilibria,
@@ -26,34 +27,31 @@ from qgames import (
 
 HALF_PI = math.pi / 2
 
-# Resolution-insensitive checks run on a light grid to keep the suite quick;
-# anything about search *quality* uses the default config.
-FAST = SearchConfig(theta_points=21, phi_points=11, refine_rounds=2)
-
 
 def angle_pairs(profile):
     return [(p.theta, p.phi) for p in profile]
 
 
-class TestSearchConfig:
-    def test_defaults(self):
-        config = SearchConfig()
-        assert (config.theta_points, config.phi_points) == (101, 51)
-        assert (config.refine_rounds, config.refine_shrink) == (3, 0.2)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"theta_points": 1},
-            {"phi_points": 0},
-            {"refine_rounds": -1},
-            {"refine_shrink": 0.0},
-            {"refine_shrink": 1.0},
-        ],
-    )
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            SearchConfig(**kwargs)
+def seeded_games():
+    """20 seeded (game, table rows, profile, player) cases: pd3 at random
+    gammas and asymmetric integer tables for N = 2..5."""
+    rng = np.random.default_rng(20261017)
+    cases = []
+    for index in range(20):
+        n = 3 if index % 5 == 0 else 2 + index % 4
+        gamma = float(rng.uniform(0.0, HALF_PI))
+        if index % 5 == 0:
+            game, rows = prisoners_dilemma_3(gamma), oracles.PD3_ROWS
+        else:
+            rows = rng.integers(-5, 6, size=(2**n, n)).astype(float)
+            entries = {format(k, f"0{n}b"): tuple(row) for k, row in enumerate(rows)}
+            game = GameSpec(n, gamma, PayoffTable(n, entries))
+        profile = tuple(
+            StrategyParams(rng.uniform(0.0, math.pi), rng.uniform(0.0, HALF_PI))
+            for _ in range(n)
+        )
+        cases.append((game, rows, profile, int(rng.integers(n))))
+    return cases
 
 
 class TestBestResponse:
@@ -63,8 +61,8 @@ class TestBestResponse:
         result = best_response(game, (DEFECT,) * 3, 0)
         assert result.best_params.theta == pytest.approx(math.pi, abs=1e-12)
         assert result.best_params.phi == pytest.approx(0.0, abs=1e-12)
-        assert result.best_payoff == pytest.approx(3.0, abs=1e-6)
-        assert result.gap == pytest.approx(2.0, abs=1e-6)
+        assert result.best_payoff == pytest.approx(3.0, abs=1e-12)
+        assert result.gap == pytest.approx(2.0, abs=1e-12)
 
     def test_all_qy_cannot_be_beaten(self):
         game = prisoners_dilemma_3(HALF_PI)
@@ -75,8 +73,8 @@ class TestBestResponse:
     def test_cooperation_is_best_against_defect_qy(self):
         game = prisoners_dilemma_3(HALF_PI)
         result = best_response(game, (COOPERATE, DEFECT, QY), 0)
-        assert result.best_payoff == pytest.approx(5.0, abs=1e-6)
-        assert abs(result.best_params.theta) <= 1e-3
+        assert result.best_payoff == pytest.approx(5.0, abs=1e-12)
+        assert result.best_params.theta == 0.0
         assert result.gap <= 1e-9
 
     def test_player_index_out_of_range(self):
@@ -88,10 +86,10 @@ class TestBestResponse:
         for _ in range(5):
             profile = tuple(random_params() for _ in range(3))
             for player in range(3):
-                assert best_response(game, profile, player, FAST).gap >= 0.0
+                assert best_response(game, profile, player).gap >= 0.0
 
     def test_search_reaches_the_analytic_suprema(self):
-        """Default search must land within 1e-6 of each hand-derived optimum."""
+        """The exact reply lands on each hand-derived optimum."""
         cases = [
             (HALF_PI, (DEFECT, DEFECT, DEFECT), 3.0),
             (HALF_PI, (COOPERATE, DEFECT, QY), 5.0),
@@ -99,49 +97,62 @@ class TestBestResponse:
         ]
         for gamma, profile, supremum in cases:
             result = best_response(prisoners_dilemma_3(gamma), profile, 0)
-            assert result.best_payoff >= supremum - 1e-6
-            assert result.best_payoff <= supremum + 1e-9
+            assert result.best_payoff == pytest.approx(supremum, abs=1e-12)
 
     def test_deterministic_across_runs(self):
         game = prisoners_dilemma_3(0.8)
         profile = (StrategyParams(1.0, 0.3), DEFECT, QY)
-        first = best_response(game, profile, 1, FAST)
-        second = best_response(game, profile, 1, FAST)
+        first = best_response(game, profile, 1)
+        second = best_response(game, profile, 1)
         assert first == second
+        assert first.best_params.theta.hex() == second.best_params.theta.hex()
+        assert first.best_params.phi.hex() == second.best_params.phi.hex()
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_dense_grid_oracle(self, case):
+        """Never below the independent grid-plus-refinement reply, and the
+        reported payoff is the dense pipeline's value at best_params."""
+        game, rows, profile, player = seeded_games()[case]
+        result = best_response(game, profile, player)
+        _, grid_best = oracles.grid_best_reply(rows, game.gamma, angle_pairs(profile), player)
+        assert result.best_payoff >= grid_best - 1e-12
+        trial = list(profile)
+        trial[player] = result.best_params
+        dense = oracles.dense_payoffs(rows, game.gamma, angle_pairs(trial))[player]
+        assert result.best_payoff == pytest.approx(dense, abs=1e-9)
 
 
 class TestEpsilonNashCheck:
     def test_all_qy_is_nash_at_max_entanglement(self):
-        report = epsilon_nash_check(prisoners_dilemma_3(HALF_PI), (QY,) * 3, 1e-6, FAST)
+        report = epsilon_nash_check(prisoners_dilemma_3(HALF_PI), (QY,) * 3, 1e-6)
         assert report.is_nash
         assert all(r.gap <= 1e-6 for r in report.per_player)
 
     def test_all_defect_fails_at_max_entanglement(self):
-        report = epsilon_nash_check(prisoners_dilemma_3(HALF_PI), (DEFECT,) * 3, 1e-6, FAST)
+        report = epsilon_nash_check(prisoners_dilemma_3(HALF_PI), (DEFECT,) * 3, 1e-6)
         assert not report.is_nash
         assert max(r.gap for r in report.per_player) == pytest.approx(2.0, abs=1e-6)
 
     def test_all_defect_is_nash_without_entanglement(self):
-        report = epsilon_nash_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3, 1e-6, FAST)
+        report = epsilon_nash_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3, 1e-6)
         assert report.is_nash
 
     def test_verdict_follows_epsilon(self):
         game = prisoners_dilemma_3(HALF_PI)
-        generous = epsilon_nash_check(game, (DEFECT,) * 3, 2.5, FAST)
+        generous = epsilon_nash_check(game, (DEFECT,) * 3, 2.5)
         assert generous.is_nash  # the max gap of 2 is within 2.5
         assert generous.is_nash == (max(r.gap for r in generous.per_player) <= 2.5)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError):
-            epsilon_nash_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3, -1.0, FAST)
+            epsilon_nash_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3, -1.0)
 
     def test_stays_nash_for_every_entanglement(self):
         """All-QY survives across the whole entanglement range."""
         for gamma in np.linspace(0.0, HALF_PI, 11):
-            report = epsilon_nash_check(
-                prisoners_dilemma_3(float(gamma)), (QY,) * 3, 1e-6, FAST
-            )
+            report = epsilon_nash_check(prisoners_dilemma_3(float(gamma)), (QY,) * 3, 1e-6)
             assert report.is_nash, f"not Nash at gamma={gamma}"
+            assert max(r.gap for r in report.per_player) <= 1e-12
 
 
 class TestEnumerateEquilibria:
@@ -210,17 +221,15 @@ class TestEnumerateEquilibria:
 
 
 class TestParetoCheck:
-    COARSE = SearchConfig(theta_points=7, phi_points=4)
-
     def test_all_qy_at_max_entanglement_is_optimal(self):
-        assert pareto_check(prisoners_dilemma_3(HALF_PI), (QY,) * 3, self.COARSE)
+        assert pareto_check(prisoners_dilemma_3(HALF_PI), (QY,) * 3)
 
     def test_classical_mutual_defection_is_dominated(self):
         """(C,C,C) pays (3,3,3), strictly above the (1,1,1) of all-defect."""
-        assert not pareto_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3, self.COARSE)
+        assert not pareto_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3)
 
     def test_classical_mutual_cooperation_is_optimal(self):
-        assert pareto_check(prisoners_dilemma_3(0.0), (COOPERATE,) * 3, self.COARSE)
+        assert pareto_check(prisoners_dilemma_3(0.0), (COOPERATE,) * 3)
 
     def test_oversized_grids_are_thinned_but_corners_survive(self, monkeypatch):
         import qgames.equilibrium as eq
@@ -228,8 +237,8 @@ class TestParetoCheck:
         monkeypatch.setattr(eq, "PARETO_MAX_PROFILES", 1000)
         # 101x51 per player would be ~1.4e11 profiles; the thinned grid must
         # still contain the all-cooperate corner that dominates all-defect.
-        assert not pareto_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3, SearchConfig())
-        assert pareto_check(prisoners_dilemma_3(0.0), (COOPERATE,) * 3, SearchConfig())
+        assert not pareto_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3)
+        assert pareto_check(prisoners_dilemma_3(0.0), (COOPERATE,) * 3)
 
 
 class TestPayoffSweep:

@@ -95,6 +95,12 @@ class TestParseGameSpec:
         with pytest.raises(GameCompletenessError, match="111"):
             parse_game_spec(text)
 
+    @pytest.mark.parametrize("line", ["gamma = pi/2", "players = 3"])
+    def test_duplicate_players_or_gamma_rejected(self, line):
+        key = line.split()[0]
+        with pytest.raises(GameFormatError, match=f"line 13: duplicate '{key}' line"):
+            parse_game_spec(PD3_TEXT + line + "\n")
+
     def test_wrong_bitstring_length_reports_line_number(self):
         text = PD3_TEXT.replace("payoff 111 = 1 1 1", "payoff 0000 = 1 2 3")
         with pytest.raises(GameFormatError, match=r"line 12"):

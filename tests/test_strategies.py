@@ -21,6 +21,7 @@ from qgames import (
     strategy_token,
     unitary_of,
 )
+from qgames.strategies import params_of_octant_point
 
 thetas = st.floats(0.0, math.pi, allow_nan=False)
 phis = st.floats(0.0, math.pi / 2, allow_nan=False)
@@ -95,6 +96,26 @@ class TestUnitaryOf:
     def test_returned_matrix_is_frozen(self):
         with pytest.raises(ValueError):
             unitary_of(QY)[0, 0] = 5.0
+
+
+class TestOctantPoint:
+    def test_vertices_are_the_named_corners(self):
+        assert params_of_octant_point((1.0, 0.0, 0.0)) == COOPERATE
+        assert params_of_octant_point((0.0, 1.0, 0.0)) == QY
+        assert params_of_octant_point((0.0, 0.0, 1.0)) == DEFECT
+
+    def test_round_off_below_zero_stays_in_the_domain(self):
+        assert params_of_octant_point((-1e-17, -0.0, 1.0)) == DEFECT
+        assert params_of_octant_point((1.0, -1e-17, -0.0)) == COOPERATE
+
+    @settings(max_examples=200)
+    @given(thetas, phis)
+    def test_unitary_is_the_octant_mixture_of_c_qy_d(self, theta, phi):
+        half = theta / 2.0
+        x = (math.cos(half), math.sin(half) * math.cos(phi), math.sin(half) * math.sin(phi))
+        mixture = x[0] * unitary_of(COOPERATE) + x[1] * unitary_of(QY) + x[2] * unitary_of(DEFECT)
+        assert_allclose(unitary_of(StrategyParams(theta, phi)), mixture, atol=1e-15)
+        assert_allclose(unitary_of(params_of_octant_point(x)), mixture, atol=1e-12)
 
 
 class TestClassicalMixProb:
