@@ -41,6 +41,7 @@ from .protocol import (
     classical_payoff,
     expected_payoffs,
     final_state,
+    payoffs_batch,
 )
 from .qcore import (
     StateVector,
@@ -102,6 +103,7 @@ __all__ = [
     "parse_game_spec",
     "parse_strategy",
     "payoff_sweep",
+    "payoffs_batch",
     "prisoners_dilemma_3",
     "probabilities",
     "render_game_spec",

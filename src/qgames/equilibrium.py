@@ -7,7 +7,6 @@ tie keeps the earliest candidate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -16,7 +15,15 @@ import numpy as np
 
 from .errors import DomainError
 from .gamespec import GameSpec, PayoffTable
-from .protocol import expected_payoffs, final_state
+from .protocol import (
+    checked_unitaries,
+    chunk_rows,
+    expected_payoffs,
+    final_amplitudes,
+    payoffs_batch,
+    profile_unitaries,
+    strategy_matrices,
+)
 from .qcore import validate_gamma
 from .strategies import (
     COOPERATE,
@@ -35,7 +42,8 @@ DEFAULT_EPSILON = 1e-6
 
 # The Pareto scan visits a full product grid of alternative profiles; axes
 # start at 101 x 51 points per player and are thinned before scanning so the
-# product never exceeds this many profiles.
+# product never exceeds this many profiles. Games where even 2 x 2 points per
+# player exceed it (N >= 9) are refused.
 PARETO_MAX_PROFILES = 100_000
 _PARETO_THETA_NODES = 101
 _PARETO_PHI_NODES = 51
@@ -85,32 +93,32 @@ def best_response(
 
     The final state is linear in the player's octant point x (see _CORNERS),
     so the payoff is the quadratic form x^T Q x over the closed positive
-    octant of the unit sphere, with Q built from three pipeline runs. A
-    maximiser restricted to its nonzero coordinates is an eigenvector of
-    that face's principal submatrix of Q, so the eigenvectors of the seven
-    faces that lie on the octant always include one.
+    octant of the unit sphere, with Q built from one kernel call on the
+    three corner profiles. A maximiser restricted to its nonzero coordinates
+    is an eigenvector of that face's principal submatrix of Q, so the
+    eigenvectors of the seven faces that lie on the octant always include one.
 
-    Candidates are scored by the pipeline: the incumbent first, then each
-    face's eigenvectors in _FACES order. A candidate replaces the best only
-    with a strictly larger payoff, so ties keep the earliest candidate.
+    Candidates are scored by a second kernel call: the incumbent first, then
+    each face's eigenvectors in _FACES order. The first candidate with the
+    largest payoff wins, so ties keep the earliest candidate.
     """
     profile = tuple(profile)
     if not 0 <= player < game.n_players:
         raise IndexError(f"player index {player} out of range for {game.n_players} players")
+    gamma = validate_gamma(game.gamma)
+    u = profile_unitaries(profile, game.n_players)
+    rows = game.table.as_array
 
-    def with_move(params: StrategyParams) -> Profile:
-        return profile[:player] + (params,) + profile[player + 1 :]
+    def with_moves(mats: np.ndarray) -> np.ndarray:
+        batch = np.repeat(u[None], len(mats), axis=0)
+        batch[:, player] = mats
+        return batch
 
-    def payoff_of(params: StrategyParams) -> float:
-        return float(expected_payoffs(game, with_move(params))[player])
+    corners = strategy_matrices(_CORNERS)
+    psi = final_amplitudes(gamma, with_moves(corners))
+    q = ((psi.conj() * rows[:, player]) @ psi.T).real
 
-    current = profile[player]
-    current_payoff = payoff_of(current)
-    best_params, best_payoff = current, current_payoff
-
-    psi = np.array([final_state(game, with_move(c)).amplitudes for c in _CORNERS])
-    q = ((psi.conj() * game.table.as_array[:, player]) @ psi.T).real
-
+    candidates = [profile[player]]
     for face in _FACES:
         _, vectors = np.linalg.eigh(q[np.ix_(face, face)])
         for vector in vectors.T:
@@ -120,12 +128,14 @@ def best_response(
                 continue
             x = np.zeros(3)
             x[list(face)] = vector
-            params = params_of_octant_point(x)
-            value = payoff_of(params)
-            if value > best_payoff:
-                best_params, best_payoff = params, value
+            candidates.append(params_of_octant_point(x))
 
-    return BestResponseResult(best_params, best_payoff, best_payoff - current_payoff)
+    mats = strategy_matrices(candidates)
+    values = payoffs_batch(rows, gamma, with_moves(mats))[:, player]
+    best = int(np.argmax(values))
+    return BestResponseResult(
+        candidates[best], float(values[best]), float(values[best] - values[0])
+    )
 
 
 def epsilon_nash_check(
@@ -153,8 +163,11 @@ def enumerate_equilibria(
     A profile qualifies when no player can gain more than epsilon by
     switching to another member of the candidate set; deviations outside
     the set are not considered, and no completeness claim is made beyond
-    it. Cost grows as len(candidate_set)**n_players. Profiles are returned
-    in product order (player 0 varying slowest).
+    it. All len(candidate_set)**N profiles are scored by the batched kernel
+    into one payoff tensor with an axis per player, and a profile is stable
+    when each player's payoff is within epsilon of the maximum along that
+    player's axis. Profiles are returned in product order (player 0 varying
+    slowest).
     """
     candidates = tuple(candidate_set)
     if not candidates:
@@ -162,25 +175,21 @@ def enumerate_equilibria(
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise DomainError(f"epsilon must be nonnegative, got {epsilon!r}")
+    gamma = validate_gamma(game.gamma)
+    mats = strategy_matrices(candidates)
 
     n = game.n_players
-    indices = range(len(candidates))
-    payoff_by_choice = {
-        choice: expected_payoffs(game, tuple(candidates[i] for i in choice))
-        for choice in itertools.product(indices, repeat=n)
-    }
+    shape = (len(candidates),) * n
+    tensor = np.empty(shape + (n,))
+    payoffs = tensor.reshape(-1, n)
+    for start, u in _product_chunks(mats, n, chunk_rows(n)):
+        payoffs[start : start + len(u)] = payoffs_batch(game.table.as_array, gamma, u)
 
-    equilibria: list[Profile] = []
-    for choice in itertools.product(indices, repeat=n):
-        own = payoff_by_choice[choice]
-        stable = all(
-            payoff_by_choice[choice[:p] + (alt,) + choice[p + 1 :]][p] <= own[p] + epsilon
-            for p in range(n)
-            for alt in indices
-        )
-        if stable:
-            equilibria.append(tuple(candidates[i] for i in choice))
-    return equilibria
+    stable = np.ones(shape, dtype=bool)
+    for p in range(n):
+        own = tensor[..., p]
+        stable &= own.max(axis=p, keepdims=True) <= own + epsilon
+    return [tuple(candidates[i] for i in choice) for choice in np.argwhere(stable)]
 
 
 def pareto_check(game: GameSpec, profile: Sequence[StrategyParams]) -> bool:
@@ -191,26 +200,34 @@ def pareto_check(game: GameSpec, profile: Sequence[StrategyParams]) -> bool:
     improves at least one (with 1e-9 slack against rounding). The per-axis
     point counts are deterministically halved until the product holds at
     most PARETO_MAX_PROFILES profiles; grid corners survive the thinning.
+    When even a 2 x 2 grid per player exceeds that bound (N >= 9) the check
+    raises DomainError before evaluating anything. Profiles are scored in
+    product order in chunks that start at 16 and double, so an early
+    dominator is found after one small kernel call.
     """
-    current = expected_payoffs(game, tuple(profile))
-
+    n = game.n_players
     n_theta, n_phi = _PARETO_THETA_NODES, _PARETO_PHI_NODES
-    while (n_theta * n_phi) ** game.n_players > PARETO_MAX_PROFILES:
+    while (n_theta * n_phi) ** n > PARETO_MAX_PROFILES:
         if n_theta >= n_phi and n_theta > 2:
             n_theta = max(2, (n_theta + 1) // 2)
         elif n_phi > 2:
             n_phi = max(2, (n_phi + 1) // 2)
         else:
-            break
+            raise DomainError(
+                f"pareto_check scans at most {PARETO_MAX_PROFILES} profiles, but even a "
+                f"2x2 grid per player gives {4**n} for {n} players"
+            )
 
-    grid = [
-        StrategyParams(theta, phi)
-        for theta in np.linspace(0.0, THETA_MAX, n_theta)
-        for phi in np.linspace(0.0, PHI_MAX, n_phi)
-    ]
-    for alternative in itertools.product(grid, repeat=game.n_players):
-        payoffs = expected_payoffs(game, alternative)
-        if np.all(payoffs >= current - _WEAK_TOL) and np.any(payoffs > current + _WEAK_TOL):
+    current = expected_payoffs(game, tuple(profile))
+    thetas, phis = np.meshgrid(
+        np.linspace(0.0, THETA_MAX, n_theta), np.linspace(0.0, PHI_MAX, n_phi), indexing="ij"
+    )
+    grid = checked_unitaries(thetas.ravel(), phis.ravel())
+
+    for _, u in _product_chunks(grid, n, 16):
+        payoffs = payoffs_batch(game.table.as_array, game.gamma, u)
+        better = np.all(payoffs >= current - _WEAK_TOL, axis=1)
+        if np.any(better & np.any(payoffs > current + _WEAK_TOL, axis=1)):
             return False
     return True
 
@@ -222,12 +239,29 @@ def payoff_sweep(
 ) -> list[tuple[float, np.ndarray]]:
     """Evaluate expected payoffs of one profile at each entanglement angle.
 
-    Output order matches input order; every gamma is range-checked before
-    any evaluation happens.
+    One batched kernel call scores the profile at every gamma. Output order
+    matches input order; every gamma is range-checked before any evaluation
+    happens.
     """
     gammas = [validate_gamma(g) for g in gamma_values]
-    profile = tuple(profile)
-    return [
-        (gamma, expected_payoffs(GameSpec(table.n_players, gamma, table), profile))
-        for gamma in gammas
-    ]
+    u = profile_unitaries(tuple(profile), table.n_players)
+    batch = np.broadcast_to(u, (len(gammas),) + u.shape)
+    return list(zip(gammas, payoffs_batch(table.as_array, np.array(gammas), batch)))
+
+
+def _product_chunks(mats: np.ndarray, n_players: int, first: int):
+    """Walk the profiles of mats**n_players in product order (player 0
+    slowest), in chunks of `first` profiles that double up to the kernel's
+    chunk_rows(n_players).
+
+    Yields (start, u): the index of the chunk's first profile and its
+    matrices, (b, N, 2, 2). Only one chunk of matrices exists at a time.
+    """
+    shape = (len(mats),) * n_players
+    total = len(mats) ** n_players
+    start, size, cap = 0, first, chunk_rows(n_players)
+    while start < total:
+        stop = min(start + min(size, cap), total)
+        choice = np.unravel_index(np.arange(start, stop), shape)
+        yield start, mats[np.stack(choice, axis=-1)]
+        start, size = stop, 2 * size

@@ -8,12 +8,10 @@ and enforced strictly; angles are never wrapped or normalized.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,22 +63,30 @@ def named(name: str) -> StrategyParams:
         raise KeyError(f"unknown strategy name: {name!r}") from None
 
 
-@lru_cache(maxsize=65536)
-def unitary_of(params: StrategyParams) -> np.ndarray:
-    """The 2x2 unitary [[cos t/2, e^{ip} sin t/2], [-e^{-ip} sin t/2, cos t/2]].
+def unitaries_of(thetas, phis) -> np.ndarray:
+    """Stack of U(theta, phi) = [[cos t/2, e^{ip} sin t/2], [-e^{-ip} sin t/2, cos t/2]],
+    one (2, 2) matrix per pair of angles, as a (k, 2, 2) complex array.
 
-    Memoized; the returned array is frozen and safe to share.
+    The angles are not range-checked; StrategyParams does that.
     """
-    cos_half = math.cos(params.theta / 2.0)
-    sin_half = math.sin(params.theta / 2.0)
-    phase = cmath.exp(1j * params.phi)
-    mat = np.array(
-        [
-            [cos_half, phase * sin_half],
-            [-phase.conjugate() * sin_half, cos_half],
-        ],
-        dtype=complex,
-    )
+    half = np.asarray(thetas, dtype=float) / 2.0
+    cos_half = np.cos(half)
+    sin_half = np.sin(half)
+    phase = np.exp(1j * np.asarray(phis, dtype=float))
+    mats = np.empty(cos_half.shape + (2, 2), dtype=complex)
+    mats[..., 0, 0] = cos_half
+    mats[..., 0, 1] = phase * sin_half
+    mats[..., 1, 0] = -phase.conj() * sin_half
+    mats[..., 1, 1] = cos_half
+    return mats
+
+
+def unitary_of(params: StrategyParams) -> np.ndarray:
+    """The 2x2 unitary U(params.theta, params.phi) (see unitaries_of).
+
+    The returned array is frozen and safe to share.
+    """
+    mat = unitaries_of(params.theta, params.phi)
     mat.setflags(write=False)
     return mat
 

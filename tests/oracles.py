@@ -158,3 +158,30 @@ def grid_best_reply(table_rows, gamma, angle_pairs, player):
         phis = np.linspace(max(best[1] - half[1], 0), min(best[1] + half[1], math.pi / 2), 9)
         best = max([best] + [(t, f) for t in thetas for f in phis], key=payoff)
     return best, payoff(best)
+
+
+def grid_pareto_optimal(table_rows, gamma, angle_pairs, n_theta, n_phi, tol=1e-9):
+    """Profile-by-profile Pareto scan of an n_theta x n_phi grid per player
+    on the dense pipeline.
+
+    Returns False at the first grid profile (product order, theta varying
+    slower than phi within a player) that weakly improves every player and
+    strictly improves at least one, with tol slack; True when none does.
+    """
+    table_rows = np.asarray(table_rows, dtype=float)
+    n = table_rows.shape[1]
+    current = dense_payoffs(table_rows, gamma, angle_pairs)
+    moves = [
+        dense_strategy(t, f)
+        for t in np.linspace(0, math.pi, n_theta)
+        for f in np.linspace(0, math.pi / 2, n_phi)
+    ]
+    entangled = dense_entangler(n, gamma)[:, 0]  # J(gamma) |0...0>
+    disentangle = dense_entangler(n, gamma, dagger=True)
+    for alternative in itertools.product(moves, repeat=n):
+        psi = disentangle @ (kron_chain(alternative) @ entangled)
+        probs = np.abs(psi) ** 2
+        payoffs = (probs / probs.sum()) @ table_rows
+        if np.all(payoffs >= current - tol) and np.any(payoffs > current + tol):
+            return False
+    return True

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qgames import (
     expected_payoffs,
     pareto_check,
     payoff_sweep,
+    payoffs_batch,
     prisoners_dilemma_3,
 )
 
@@ -52,6 +54,63 @@ def seeded_games():
         )
         cases.append((game, rows, profile, int(rng.integers(n))))
     return cases
+
+
+def seeded_enumerations():
+    """20 seeded (game, table rows, candidate set) cases: pd3 and asymmetric
+    integer tables for N = 2..6, sets of 2..4 members mixing C, D, QY with
+    random strategies, at most 729 profiles each."""
+    rng = np.random.default_rng(20261018)
+    named = (COOPERATE, DEFECT, QY)
+    cases = []
+    for index in range(20):
+        n = 3 if index % 4 == 0 else 2 + index % 5
+        gamma = (0.0, HALF_PI, float(rng.uniform(0.0, HALF_PI)))[index % 3]
+        if index % 4 == 0:
+            game, rows = prisoners_dilemma_3(gamma), oracles.PD3_ROWS
+        else:
+            rows = rng.integers(-5, 6, size=(2**n, n)).astype(float)
+            entries = {format(k, f"0{n}b"): tuple(row) for k, row in enumerate(rows)}
+            game = GameSpec(n, gamma, PayoffTable(n, entries))
+        size = 2 + index % 3
+        while size**n > 729:
+            size -= 1
+        candidates = [
+            named[rng.integers(3)]
+            if rng.random() < 0.5
+            else StrategyParams(rng.uniform(0.0, math.pi), rng.uniform(0.0, HALF_PI))
+            for _ in range(size)
+        ]
+        cases.append((game, rows, candidates))
+    return cases
+
+
+def seeded_pd3_profiles():
+    """12 seeded (gamma, profile) pairs of random strategies on pd3."""
+    rng = np.random.default_rng(20261019)
+    return [
+        (
+            float(rng.uniform(0.0, HALF_PI)),
+            tuple(
+                StrategyParams(rng.uniform(0.0, math.pi), rng.uniform(0.0, HALF_PI))
+                for _ in range(3)
+            ),
+        )
+        for _ in range(12)
+    ]
+
+
+def random_game(n, gamma, seed):
+    """An asymmetric integer payoff table on n players."""
+    rows = np.random.default_rng(seed).integers(-5, 6, size=(2**n, n)).astype(float)
+    entries = {format(k, f"0{n}b"): tuple(row) for k, row in enumerate(rows)}
+    return GameSpec(n, gamma, PayoffTable(n, entries))
+
+
+def constant_game(n):
+    """Every outcome pays every player 1, so no profile improves on another."""
+    entries = {format(k, f"0{n}b"): (1.0,) * n for k in range(2**n)}
+    return GameSpec(n, 0.7, PayoffTable(n, entries))
 
 
 class TestBestResponse:
@@ -220,6 +279,17 @@ class TestEnumerateEquilibria:
         assert first == second
 
 
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_dense_oracle_on_seeded_games(self, case):
+        """The payoff-tensor enumeration agrees with the dict-and-loop
+        enumeration on the dense pipeline."""
+        game, rows, candidates = seeded_enumerations()[case]
+        found = enumerate_equilibria(game, candidates)
+        angles = angle_pairs(candidates)
+        oracle = oracles.set_relative_equilibria(rows, game.gamma, angles, 1e-6)
+        assert found == [tuple(candidates[i] for i in choice) for choice in oracle]
+
+
 class TestParetoCheck:
     def test_all_qy_at_max_entanglement_is_optimal(self):
         assert pareto_check(prisoners_dilemma_3(HALF_PI), (QY,) * 3)
@@ -239,6 +309,50 @@ class TestParetoCheck:
         # still contain the all-cooperate corner that dominates all-defect.
         assert not pareto_check(prisoners_dilemma_3(0.0), (DEFECT,) * 3)
         assert pareto_check(prisoners_dilemma_3(0.0), (COOPERATE,) * 3)
+
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_chunked_verdict_matches_profile_by_profile_scan(self, case, monkeypatch):
+        """On a 4 x 4 grid per player (4096 profiles, in chunks of 16
+        doubling to 512) the verdict equals the dense oracle's
+        one-profile-at-a-time scan; the first dominator falls in the first
+        chunk, in a later one, or nowhere."""
+        import qgames.equilibrium as eq
+
+        monkeypatch.setattr(eq, "PARETO_MAX_PROFILES", 4096)
+        gamma, profile = seeded_pd3_profiles()[case]
+        expected = oracles.grid_pareto_optimal(
+            oracles.PD3_ROWS, gamma, angle_pairs(profile), 4, 4
+        )
+        assert pareto_check(prisoners_dilemma_3(gamma), profile) == expected
+
+    def test_nine_players_are_refused_before_any_evaluation(self, monkeypatch):
+        """Even a 2 x 2 grid per player is 4**9 = 262144 profiles."""
+        import qgames.equilibrium as eq
+        import qgames.protocol as protocol
+
+        def no_evaluation(*args):
+            raise AssertionError("pareto_check evaluated a profile")
+
+        monkeypatch.setattr(eq, "payoffs_batch", no_evaluation)
+        monkeypatch.setattr(protocol, "payoffs_batch", no_evaluation)
+        with pytest.raises(DomainError, match="100000 profiles.*262144"):
+            pareto_check(constant_game(9), (QY,) * 9)
+
+    def test_eight_players_scan_all_65536_profiles(self, monkeypatch):
+        """A constant table has no dominator, so the whole 2 x 2 grid per
+        player (4**8 profiles) is scored."""
+        import qgames.equilibrium as eq
+
+        scored = []
+
+        def counting(rows, gamma, u):
+            scored.append(len(u))
+            return payoffs_batch(rows, gamma, u)
+
+        monkeypatch.setattr(eq, "payoffs_batch", counting)
+        assert pareto_check(constant_game(8), (QY,) * 8)
+        assert sum(scored) == 4**8
 
 
 class TestPayoffSweep:
@@ -270,3 +384,35 @@ class TestPayoffSweep:
         for player in range(3):
             assert_allclose(values[:, player], expected, atol=1e-9)
         assert np.all(np.diff(values[:, 0]) > 0.0)
+
+
+class TestPeakMemory:
+    """Traced allocation peaks stay under 1.5 MB: the kernel works in chunks
+    of at most 2**12 amplitudes, so neither the whole enumeration nor a
+    large-N sweep is ever materialised as states at once."""
+
+    PEAK_BYTES = 1_500_000
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_enumeration_of_eight_players(self):
+        game = random_game(8, 0.9, seed=1)
+        game.table.as_array  # the table is the game's data, built before tracing
+        peak = self.traced_peak(
+            lambda: enumerate_equilibria(game, [COOPERATE, DEFECT, QY])
+        )
+        assert peak <= self.PEAK_BYTES
+
+    def test_sweep_of_twelve_players(self):
+        game = random_game(12, 0.0, seed=2)
+        game.table.as_array
+        gammas = np.linspace(0.0, HALF_PI, 201)
+        peak = self.traced_peak(lambda: payoff_sweep(game.table, (QY,) * 12, gammas))
+        assert peak <= self.PEAK_BYTES

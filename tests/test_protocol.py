@@ -14,13 +14,17 @@ from qgames import (
     QY,
     DimensionError,
     DomainError,
+    NormalizationError,
     StrategyParams,
+    ValidationError,
     classical_mixed_payoffs,
     classical_payoff,
     expected_payoffs,
     final_state,
+    payoffs_batch,
     prisoners_dilemma_3,
 )
+from qgames.protocol import checked_unitaries, chunk_rows
 
 HALF_PI = math.pi / 2
 
@@ -217,6 +221,45 @@ class TestOtherPlayerCounts:
                 oracles.dense_payoffs(rows, gamma, angle_pairs(profile)),
                 atol=1e-12,
             )
+
+
+class TestPayoffsBatch:
+    """The batched kernel against the dense oracle, on both sides of a chunk."""
+
+    @pytest.mark.parametrize("per_row_gamma", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_dense_oracle_around_the_chunk_size(self, n, per_row_gamma):
+        rng = np.random.default_rng(7000 + 10 * n + per_row_gamma)
+        rows = rng.uniform(-5.0, 5.0, size=(2**n, n))
+        chunk = chunk_rows(n)
+        # Per-row angles come from a small pool so the oracle's dense
+        # entangler cache pays; every row still gets its own draw.
+        pool = rng.uniform(0.0, HALF_PI, size=4)
+        for size in (1, chunk - 1, chunk, chunk + 1):
+            angles = np.stack(
+                [rng.uniform(0.0, math.pi, (size, n)), rng.uniform(0.0, HALF_PI, (size, n))],
+                axis=-1,
+            )
+            u = np.array([[oracles.dense_strategy(t, f) for t, f in row] for row in angles])
+            gammas = rng.choice(pool, size) if per_row_gamma else np.full(size, pool[0])
+            got = payoffs_batch(rows, gammas if per_row_gamma else pool[0], u)
+            expected = [
+                oracles.dense_payoffs(rows, gamma, row) for gamma, row in zip(gammas, angles)
+            ]
+            assert got.shape == (size, n)
+            assert_allclose(got, expected, atol=1e-12)
+
+    def test_norm_is_checked_on_every_row(self):
+        """A non-unitary move in the last row of a second chunk is caught."""
+        n = 8
+        u = np.tile(np.eye(2, dtype=complex), (chunk_rows(n) + 1, n, 1, 1))
+        u[-1, 3] *= 1.0 + 1e-6
+        with pytest.raises(NormalizationError):
+            payoffs_batch(np.zeros((2**n, n)), 0.5, u)
+
+    def test_non_unitary_matrix_is_rejected_at_the_boundary(self):
+        with pytest.raises(ValidationError):
+            checked_unitaries([0.0, math.nan], [0.0, 0.0])
 
 
 class TestClassicalPayoff:
